@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, cast
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import BufferCache
 from repro.core.hints import resolve_hint_view
@@ -105,17 +105,6 @@ class Simulator:
         observer: Optional["Observer"] = None,
     ) -> None:
         self.config = config if config is not None else SimConfig()
-        #: Optional :class:`repro.perf.PhaseProfiler`.  When attached, the
-        #: policy is wrapped so its consultation time is accounted, and the
-        #: engine brackets disk service and cache bookkeeping; when None the
-        #: hot path carries no timing calls at all.
-        self.profiler = profiler
-        #: Optional :class:`repro.obs.Observer`.  When attached, the event
-        #: handlers are shadowed with recording versions (event tracing,
-        #: metrics, stall attribution — see docs/OBSERVABILITY.md); tracing
-        #: is read-only, so results stay bit-identical.  When None the hot
-        #: path carries no tracing calls at all.
-        self.observer = observer
         self.trace = trace
         self.policy = policy
         self.num_disks = num_disks
@@ -202,51 +191,17 @@ class Simulator:
         self.events_dispatched = 0
         self.timeline = Timeline() if self.config.record_timeline else None
 
-        if profiler is not None:
-            from repro.perf import ProfiledPolicy
-
-            # ProfiledPolicy is a transparent delegating wrapper, not a
-            # subclass; it honours the full PrefetchPolicy surface.
-            self.policy = cast(PrefetchPolicy, ProfiledPolicy(policy, profiler))
-            self._instrument(profiler)
+        # Instruments shadow methods on this instance (and its policy and
+        # array); unattached, the hot path carries no instrumentation calls.
+        # The profiler attaches last so its phases include the observer's
+        # recording cost (see docs/OBSERVABILITY.md).
         if observer is not None:
-            # Attached after the profiler so tracing wraps the profiled
-            # hooks; with both active the profiler's numbers include the
-            # observer's recording cost (see docs/OBSERVABILITY.md).
             observer.attach(self)
+        if profiler is not None:
+            profiler.attach(self)
         self.policy.bind(self)
 
     # -- construction helpers --------------------------------------------------
-
-    def _instrument(self, profiler: "PhaseProfiler") -> None:
-        """Shadow the hot-path methods with phase-bracketed versions.
-
-        Instance-attribute shadowing keeps the class methods untouched, so
-        a simulator without a profiler pays nothing — no flag checks, no
-        indirection.  The wrappers only add timing; behaviour (and thus
-        every :class:`SimulationResult` bit) is unchanged.
-        """
-        inner_start_disks = self._start_disks
-
-        def timed_start_disks(now: float) -> None:
-            profiler.start("disk")
-            try:
-                inner_start_disks(now)
-            finally:
-                profiler.stop()
-
-        self._start_disks = timed_start_disks  # type: ignore[method-assign]
-
-        inner_issue_fetch = self.issue_fetch
-
-        def timed_issue_fetch(block: int, victim: Optional[int]) -> None:
-            profiler.start("cache")
-            try:
-                inner_issue_fetch(block, victim)
-            finally:
-                profiler.stop()
-
-        self.issue_fetch = timed_issue_fetch  # type: ignore[method-assign]
 
     def _build_array(self) -> DiskArray:
         config = self.config
@@ -680,8 +635,6 @@ class Simulator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        if self.profiler is not None:
-            return self._run_profiled()
         self._push(0.0, _EVENT_APP)
         events = self._events
         heappop = heapq.heappop
@@ -697,38 +650,6 @@ class Simulator:
                     self._retry_fetch(payload, now)
                 else:
                     self._app_step(now)
-        finally:
-            self.events_dispatched += dispatched
-        if not self._done:
-            raise RuntimeError("simulation deadlocked before trace completion")
-        return self._build_result()
-
-    def _run_profiled(self) -> SimulationResult:
-        """The event loop with phase bracketing — same dispatch order and
-        state transitions as :meth:`run`, plus timing.  Each event is
-        charged to ``dispatch``; the nested policy/disk/cache brackets
-        carve their self time out of it."""
-        profiler = self.profiler
-        assert profiler is not None
-        self._push(0.0, _EVENT_APP)
-        events = self._events
-        heappop = heapq.heappop
-        dispatched = 0
-        try:
-            while events and not self._done:
-                now, kind, _seq, payload = heappop(events)
-                dispatched += 1
-                self.now = now
-                profiler.start("dispatch")
-                try:
-                    if kind == _EVENT_DISK:
-                        self._disk_complete(payload, now)
-                    elif kind == _EVENT_RETRY:
-                        self._retry_fetch(payload, now)
-                    else:
-                        self._app_step(now)
-                finally:
-                    profiler.stop()
         finally:
             self.events_dispatched += dispatched
         if not self._done:

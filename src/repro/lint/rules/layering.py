@@ -8,13 +8,10 @@ drags the whole service stack — and its transitive stdlib surface —
 into every simulation process and into the mypy-strict core closure.
 
 The rule reads the resolved import graph from the project index, so
-relative imports and aliases are handled.  Two escape hatches exist:
-
-* ``if TYPE_CHECKING:`` imports are always allowed (they vanish at
-  runtime);
-* the explicit lazy-import allowlist below — currently only
-  ``repro.core.engine`` → ``repro.perf``, the profiler hook that is
-  imported inside a function and only when profiling is requested.
+relative imports and aliases are handled.  The one escape hatch is
+``if TYPE_CHECKING:`` imports, which vanish at runtime; a lazy import
+inside a function still loads the layer, so it fires like a module-level
+one.
 
 SL016 extends the same purity line to *output*: the hot core must not
 log or print.  Structured logging lives in ``repro.obs.logging`` and is
@@ -28,7 +25,7 @@ dependency that SL002 exists to forbid.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.lint.engine import Finding, LintModule, Rule
 from repro.lint.rules import register
@@ -46,16 +43,6 @@ _FORBIDDEN = (
     "repro.lint",
     "repro.cli",
 )
-
-#: (importing module, forbidden layer) pairs allowed as *function-local*
-#: lazy imports.  Keep this list painfully short and document every entry
-#: in docs/LINTING.md.
-_LAZY_ALLOWLIST: Set[Tuple[str, str]] = {
-    # The engine's opt-in profiling wrapper: imported inside
-    # Simulator.run() only when profile=True, so unprofiled simulations
-    # never touch repro.perf.
-    ("repro.core.engine", "repro.perf"),
-}
 
 _CORE_LAYERS = ("repro.core", "repro.disk")
 
@@ -84,15 +71,10 @@ class ImportLayeringRule(Rule):
                     continue
                 if record.scope == "type_checking":
                     continue  # erased at runtime — the sanctioned idiom
-                if (
-                    record.scope == "function"
-                    and (module_name, layer) in _LAZY_ALLOWLIST
-                ):
-                    continue
                 how = (
                     "at module scope"
                     if record.scope == "module"
-                    else "inside a function (not on the lazy-import allowlist)"
+                    else "inside a function"
                 )
                 yield self.finding(
                     module,
@@ -101,7 +83,7 @@ class ImportLayeringRule(Rule):
                     f"`{record.target}` ({layer}) {how}; the hot core must "
                     "stay importable without orchestration layers — use "
                     "`if TYPE_CHECKING:` for annotations or invert the "
-                    "dependency (see docs/LINTING.md for the allowlist)",
+                    "dependency (see docs/LINTING.md)",
                 )
 
     def _forbidden_layer(self, target: str) -> Optional[str]:

@@ -14,8 +14,9 @@ Three layers, all strictly read-only with respect to simulation state:
   sum back to ``SimulationResult.stall_ms`` to within float noise.
 
 An unobserved simulator carries **zero** tracing calls: the hooks are
-installed by instance-attribute shadowing (the same pattern as
-``Simulator._instrument``), so the class methods stay untouched and the
+installed by instance-attribute shadowing (the same attach protocol as
+:meth:`repro.perf.PhaseProfiler.attach`), so the class methods stay
+untouched and the
 default hot path has no flag checks, no indirection, and bit-identical
 results.  See ``docs/OBSERVABILITY.md``.
 """

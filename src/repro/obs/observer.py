@@ -5,8 +5,10 @@ engine's event handlers (``_app_step``, ``_wake_app``, ``_disk_complete``,
 ``_fault_complete``, ``_retry_fetch``, ``_abandon_fetch``,
 ``issue_fetch``, ``write_allocate``, ``_build_result``), the disk array's
 request lifecycle (``submit``, ``start_next``), and the policy's hooks —
-the same pattern as ``Simulator._instrument``, so an unobserved simulator
-carries zero tracing calls and class methods stay untouched.
+the same attach protocol as :meth:`repro.perf.PhaseProfiler.attach`, so an
+unobserved simulator carries zero tracing calls and class methods stay
+untouched.  The simulator attaches the observer before any profiler, so
+the profiler's phases include the observer's recording cost.
 
 Every wrapper calls the original exactly once with unchanged arguments
 and only *reads* simulator state (victim distances use the stateless

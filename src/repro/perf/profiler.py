@@ -1,7 +1,12 @@
 """Stack-based self-time profiler for the simulator's phases."""
 
+from __future__ import annotations
+
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.core.engine import Simulator
 
 #: The engine's phase vocabulary (reports order phases by self time, not
 #: by this tuple):
@@ -12,8 +17,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 #:   times (:meth:`Simulator._start_disks`);
 #: * ``cache``    — issue-side bookkeeping of a fetch (buffer reservation,
 #:   eviction, request submission);
-#: * ``dispatch`` — the event loop itself: heap pops, completions, app
-#:   steps, and everything not attributed to a nested phase.
+#: * ``dispatch`` — the event handlers themselves (app steps, completions,
+#:   retries) minus the nested phases above.  The heap pop and the loop's
+#:   own bookkeeping run outside every bracket.
 PHASES = ("policy", "disk", "cache", "dispatch")
 
 
@@ -56,6 +62,50 @@ class PhaseProfiler:
         if self._stack:
             parent, _resumed = self._stack[-1]
             self._stack[-1] = (parent, now)
+
+    # -- instrumentation -----------------------------------------------------
+
+    def attach(self, sim: Simulator) -> None:
+        """Shadow the simulator's hot-path methods with phase-bracketed
+        versions.
+
+        The same instance-attribute pattern as
+        :meth:`repro.obs.Observer.attach`: class methods stay untouched, so
+        an unprofiled simulator carries no timing calls, and every shadow
+        calls the original once with unchanged arguments, so a profiled run
+        is bit-identical.  Attach after any observer so the phases include
+        its recording cost.
+        """
+        for phase, target, names in (
+            ("dispatch", sim, ("_app_step", "_disk_complete", "_retry_fetch")),
+            ("disk", sim, ("_start_disks",)),
+            ("cache", sim, ("issue_fetch",)),
+            ("policy", sim.policy, (
+                "before_reference", "on_disk_idle", "on_miss", "choose_victim",
+                "on_fetch_complete", "on_reference_served", "on_evict",
+            )),
+        ):
+            for name in names:
+                inner = getattr(target, name)
+                setattr(target, name, self._bracket(phase, inner))
+
+    def _bracket(
+        self, phase: str, inner: Callable[..., Any]
+    ) -> Callable[..., Any]:
+        start, stop, stack = self.start, self.stop, self._stack
+
+        def timed(*args: Any, **kwargs: Any) -> Any:
+            # A call from inside the same phase (the base ``on_miss``
+            # calling ``self.choose_victim``) is already being timed.
+            if stack and stack[-1][0] == phase:
+                return inner(*args, **kwargs)
+            start(phase)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                stop()
+
+        return timed
 
     def reset(self) -> None:
         self._stack.clear()

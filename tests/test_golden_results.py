@@ -52,11 +52,13 @@ def cell_id(cell) -> str:
     return f"{trace}/{policy}/d{disks}/{discipline}{suffix}"
 
 
-def run_cell(cell, observer=None) -> str:
+def run_cell(cell, observer=None, profiler=None) -> str:
     """Run one cell and digest its complete serialized outcome.
 
-    ``observer`` lets tests/test_obs.py assert the read-only guarantee:
-    digests must be identical with a ``repro.obs.Observer`` attached.
+    ``observer`` and ``profiler`` let tests/test_obs.py and
+    tests/test_perf.py assert the read-only guarantee: digests must be
+    identical with a ``repro.obs.Observer`` and/or a
+    ``repro.perf.PhaseProfiler`` attached.
     """
     trace_name, policy, disks, discipline, record_timeline = cell
     trace = build_workload(trace_name, scale=SCALE)
@@ -66,7 +68,7 @@ def run_cell(cell, observer=None) -> str:
         record_timeline=record_timeline,
     )
     sim = Simulator(trace, make_policy(policy), disks, config,
-                    observer=observer)
+                    observer=observer, profiler=profiler)
     result = sim.run()
     payload = dataclasses.asdict(result)
     if record_timeline:

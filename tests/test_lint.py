@@ -1246,9 +1246,9 @@ class TestImportLayering:
         """
         assert rules_hit(src) == set()
 
-    def test_allowlisted_lazy_import_clean(self):
-        # (repro.core.engine, repro.perf) is on the lazy-import
-        # allowlist: the profiler is optional instrumentation.
+    def test_lazy_perf_import_in_engine_flagged(self):
+        # No lazy import is exempt: instruments attach themselves from
+        # outside, so the engine never needs repro.perf at runtime.
         src = """
         def run(profile=None):
             if profile:
@@ -1257,7 +1257,9 @@ class TestImportLayering:
                 return PhaseProfiler()
             return None
         """
-        assert rules_hit(src, module="repro.core.engine") == set()
+        findings = findings_for(src, module="repro.core.engine")
+        assert {f.rule for f in findings} == {"SL015"}
+        assert "inside a function" in findings[0].message
 
     def test_non_allowlisted_lazy_import_flagged(self):
         src = """
@@ -1268,7 +1270,7 @@ class TestImportLayering:
         """
         findings = findings_for(src, module="repro.core.engine")
         assert {f.rule for f in findings} == {"SL015"}
-        assert "allowlist" in findings[0].message
+        assert "inside a function" in findings[0].message
 
     def test_orchestration_layers_may_import_each_other(self):
         src = """

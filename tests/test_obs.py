@@ -35,6 +35,7 @@ from repro.obs import (
 )
 from repro.obs import events as ev
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, occupancy_buckets
+from repro.perf import PhaseProfiler
 from repro.trace import build as build_workload, cache_blocks_for
 
 from tests.conftest import make_trace, simple_config
@@ -76,17 +77,25 @@ SHADOWED_SIM = (
 SHADOWED_ARRAY = ("submit", "start_next")
 SHADOWED_POLICY = ("before_reference", "on_disk_idle", "on_miss", "on_evict")
 
+#: Methods the phase profiler shadows on the simulator and its policy.
+PROFILED_SIM = ("_app_step", "_disk_complete", "_retry_fetch", "_start_disks",
+                "issue_fetch")
+PROFILED_POLICY = (
+    "before_reference", "on_disk_idle", "on_miss", "choose_victim",
+    "on_fetch_complete", "on_reference_served", "on_evict",
+)
+
 
 class TestZeroOverhead:
     def test_unobserved_simulator_has_no_shadows(self):
         trace = make_trace([0, 1, 2, 3] * 4)
         sim = Simulator(trace, make_policy("demand"), 1, simple_config())
         sim.run()
-        for name in SHADOWED_SIM:
+        for name in SHADOWED_SIM + PROFILED_SIM:
             assert name not in sim.__dict__, name
         for name in SHADOWED_ARRAY:
             assert name not in sim.array.__dict__, name
-        for name in SHADOWED_POLICY:
+        for name in SHADOWED_POLICY + PROFILED_POLICY:
             assert name not in sim.policy.__dict__, name
 
     def test_observed_simulator_has_all_shadows(self):
@@ -99,6 +108,19 @@ class TestZeroOverhead:
             assert name in sim.array.__dict__, name
         for name in SHADOWED_POLICY:
             assert name in sim.policy.__dict__, name
+
+    def test_profiled_simulator_has_all_shadows(self):
+        trace = make_trace([0, 1, 2, 3] * 4)
+        sim = Simulator(trace, make_policy("demand"), 1, simple_config(),
+                        profiler=PhaseProfiler())
+        for name in PROFILED_SIM:
+            assert name in sim.__dict__, name
+        for name in PROFILED_POLICY:
+            assert name in sim.policy.__dict__, name
+        for name in set(SHADOWED_SIM) - set(PROFILED_SIM):
+            assert name not in sim.__dict__, name
+        for name in SHADOWED_ARRAY:
+            assert name not in sim.array.__dict__, name
 
     def test_observer_attaches_exactly_once(self):
         observer = Observer()

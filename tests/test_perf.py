@@ -1,14 +1,19 @@
 """The phase profiler: self-time accounting and behavioural transparency."""
 
 import dataclasses
+import sys
 
 import pytest
 
 from repro.cli import main
 from repro.core import SimConfig, Simulator, make_policy
-from repro.perf import PHASES, PhaseProfiler, ProfiledPolicy
+from repro.obs import Observer
+from repro.perf import PHASES, PhaseProfiler
 from repro.trace import build as build_workload
 from repro.trace import cache_blocks_for
+
+from tests.test_golden_results import CELLS, EXPECTED, SCALE, cell_id, run_cell
+from tests.test_obs import PROFILED_POLICY
 
 
 class FakeClock:
@@ -130,18 +135,56 @@ class TestProfiledRuns:
             assert profiler.ms(phase) > 0.0, phase
             assert profiler.counts[phase] > 0
 
-    def test_unprofiled_simulator_has_no_wrapper(self):
-        trace = build_workload("ld", scale=0.1)
-        config = SimConfig(cache_blocks=cache_blocks_for("ld", 0.1))
-        sim = Simulator(trace, make_policy("forestall"), 2, config)
-        assert not isinstance(sim.policy, ProfiledPolicy)
-        assert sim.profiler is None
 
-    def test_wrapper_delegates_attributes(self):
-        policy = make_policy("forestall")
-        wrapped = ProfiledPolicy(policy, PhaseProfiler())
-        assert wrapped.name == policy.name
-        assert wrapped.horizon == policy.horizon
+class TestGoldenProfiled:
+    @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
+    def test_digest_unchanged_with_profiler(self, cell):
+        assert run_cell(cell, profiler=PhaseProfiler()) == EXPECTED[cell_id(cell)]
+
+    @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
+    def test_digest_unchanged_with_profiler_and_observer(self, cell):
+        digest = run_cell(cell, observer=Observer(), profiler=PhaseProfiler())
+        assert digest == EXPECTED[cell_id(cell)]
+
+
+def _golden_sim(trace_name, policy, disks, profiler):
+    trace = build_workload(trace_name, scale=SCALE)
+    config = SimConfig(cache_blocks=cache_blocks_for(trace_name, SCALE))
+    return Simulator(trace, make_policy(policy), disks, config,
+                     profiler=profiler)
+
+
+def _count_engine_consultations(policy):
+    """Shadow the (already profiled) policy hooks with counters that count
+    only calls made from engine code, not the policy's calls to itself."""
+    consultations = [0]
+    for name in PROFILED_POLICY:
+        def counted(*args, _inner=getattr(policy, name), **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "repro.core.engine":
+                consultations[0] += 1
+            return _inner(*args, **kwargs)
+
+        setattr(policy, name, counted)
+    return consultations
+
+
+class TestProfilerCounts:
+    def test_dispatch_count_is_events_dispatched(self):
+        profiler = PhaseProfiler()
+        sim = _golden_sim("ld", "forestall", 2, profiler)
+        sim.run()
+        assert profiler.counts["dispatch"] == sim.events_dispatched
+
+    @pytest.mark.parametrize("trace_name,disks", [("ld", 2), ("cscope1", 4)])
+    def test_policy_count_is_engine_consultations(self, trace_name, disks):
+        # The base on_miss calls self.choose_victim: that nested call is
+        # already inside the policy phase and must not count again.
+        profiler = PhaseProfiler()
+        sim = _golden_sim(trace_name, "demand", disks, profiler)
+        consultations = _count_engine_consultations(sim.policy)
+        sim.run()
+        assert consultations[0] > 0
+        assert profiler.counts["policy"] == consultations[0]
 
 
 class TestProfileFlag:
