@@ -5,7 +5,8 @@ timeline sort caching, missing-scan memoization, profiler hooks) promises
 to change *performance only*.  This test pins SHA-256 digests of the full
 ``SimulationResult`` serialization — every float at full precision, plus
 the recorded timeline where enabled — for all five hinted policies on two
-small workloads across all three disk scheduling disciplines.  Any change
+small workloads across all three disk scheduling disciplines, and of
+six two-stream shared runs (``MULTI_CELLS``) under both allocators.  Any change
 to a digest means an optimization altered simulated behaviour and must be
 treated as a bug (or, for an intentional model change, regenerated with an
 explanation in the PR).
@@ -22,6 +23,11 @@ import json
 import pytest
 
 from repro.core import SimConfig, Simulator, make_policy
+from repro.core.multiprocess import (
+    CostBenefitAllocator,
+    MultiProcessSimulator,
+    StaticAllocator,
+)
 from repro.trace import build as build_workload
 from repro.trace import cache_blocks_for
 
@@ -97,6 +103,67 @@ EXPECTED = {
 }
 
 
+#: Shared runs: two streams at ``SCALE`` against one array, with the cache
+#: sized for both traces.  (stream A, stream B, disks, discipline,
+#: allocator, disk model); a stream is (trace, policy).
+MULTI_CELLS = (
+    (("ld", "forestall"), ("cscope1", "aggressive"), 2, "cscan",
+     "static", "hp97560"),
+    (("ld", "forestall"), ("cscope1", "aggressive"), 2, "cscan",
+     "static-3:1", "hp97560"),
+    (("ld", "forestall"), ("cscope1", "aggressive"), 2, "cscan",
+     "cost-benefit", "hp97560"),
+    (("ld", "fixed-horizon"), ("ld", "demand"), 1, "fcfs",
+     "static", "hp97560"),
+    (("cscope1", "reverse-aggressive"), ("ld", "fixed-horizon"), 4, "sstf",
+     "cost-benefit", "hp97560"),
+    (("ld", "aggressive"), ("cscope1", "forestall"), 2, "cscan",
+     "static", "simple"),
+)
+
+ALLOCATORS = {
+    "static": StaticAllocator,
+    "static-3:1": lambda: StaticAllocator([3, 1]),
+    "cost-benefit": CostBenefitAllocator,
+}
+
+
+def multi_cell_id(cell) -> str:
+    a, b, disks, discipline, allocator, disk_model = cell
+    suffix = "" if disk_model == "hp97560" else f"/{disk_model}"
+    return (f"{a[0]}/{a[1]}+{b[0]}/{b[1]}/d{disks}/{discipline}/"
+            f"{allocator}{suffix}")
+
+
+def run_multi_cell(cell) -> str:
+    """Run one shared cell and digest every stream's serialized result."""
+    streams, (disks, discipline, allocator, disk_model) = cell[:2], cell[2:]
+    config = SimConfig(
+        cache_blocks=sum(cache_blocks_for(t, SCALE) for t, _ in streams),
+        discipline=discipline,
+        disk_model=disk_model,
+    )
+    sim = MultiProcessSimulator(
+        [(build_workload(t, scale=SCALE), make_policy(p)) for t, p in streams],
+        disks, config, ALLOCATORS[allocator](),
+    )
+    payload = [dataclasses.asdict(r) for r in sim.run()]
+    serialized = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(serialized.encode("utf-8")).hexdigest()
+
+
+#: Shared-run digests pinned before the shared engine was folded into
+#: ``Simulator``'s event loop.
+MULTI_EXPECTED = {
+    "ld/forestall+cscope1/aggressive/d2/cscan/static": "c473e010173e6240d08c36f193263aefdf39b204bec3c4245c39ab47dbc896cf",
+    "ld/forestall+cscope1/aggressive/d2/cscan/static-3:1": "e7153e977b539d0cc7347288f8754ca5591a475e5e6e1fb0b5f03528b426c956",
+    "ld/forestall+cscope1/aggressive/d2/cscan/cost-benefit": "82b297a8bee9090d3ca63b0a96feb7641d8022112f2788bad35238372920cff3",
+    "ld/fixed-horizon+ld/demand/d1/fcfs/static": "c90f370fba641d1fab75fb8f12eebed10d9b36325db21bc99fff6879cfbc0de3",
+    "cscope1/reverse-aggressive+ld/fixed-horizon/d4/sstf/cost-benefit": "0cd8ac945a624a5bf18e22fc78783b5e15b2096a878e96bdcd846c7eaee3e10c",
+    "ld/aggressive+cscope1/forestall/d2/cscan/static/simple": "be63c9f3645b4bcac5dab3f1a54b5de95d796a09a11469f6919a2871a6d55ef5",
+}
+
+
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_results_bit_identical_to_seed(cell):
     assert run_cell(cell) == EXPECTED[cell_id(cell)], (
@@ -107,6 +174,14 @@ def test_results_bit_identical_to_seed(cell):
 
 def test_every_cell_has_a_pinned_digest():
     assert {cell_id(c) for c in CELLS} == set(EXPECTED)
+    assert {multi_cell_id(c) for c in MULTI_CELLS} == set(MULTI_EXPECTED)
+
+
+@pytest.mark.parametrize("cell", MULTI_CELLS, ids=multi_cell_id)
+def test_shared_results_bit_identical(cell):
+    assert run_multi_cell(cell) == MULTI_EXPECTED[multi_cell_id(cell)], (
+        f"{multi_cell_id(cell)}: shared-run serialization changed"
+    )
 
 
 if __name__ == "__main__":
@@ -116,6 +191,10 @@ if __name__ == "__main__":
         print("EXPECTED = {")
         for cell in CELLS:
             print(f'    "{cell_id(cell)}": "{run_cell(cell)}",')
+        print("}")
+        print("MULTI_EXPECTED = {")
+        for cell in MULTI_CELLS:
+            print(f'    "{multi_cell_id(cell)}": "{run_multi_cell(cell)}",')
         print("}")
     else:
         sys.exit("usage: python tests/test_golden_results.py --regen")
