@@ -7,6 +7,9 @@ One wall clock drives two kinds of timeline:
   stalls (waiting for a missing block to arrive); and
 * **d disks**, each serving one request at a time from its scheduling queue.
 
+A shared run (:mod:`repro.core.multiprocess`) puts several applications —
+*streams* — on the same clock and disks; a solo run is the one-stream case.
+
 Policies are consulted before every reference and at every disk completion;
 they issue fetch/eviction pairs, the engine does everything else.  The
 run's accounting identity — ``elapsed == compute + driver + stall`` — is
@@ -17,9 +20,21 @@ self-auditing.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Type,
+)
 
 from repro.core.cache import BufferCache
 from repro.core.hints import resolve_hint_view
@@ -92,7 +107,16 @@ class SimConfig:
 
 
 class Simulator:
-    """Run one (trace, policy, array) combination to completion."""
+    """Run one (trace, policy, array) combination to completion.
+
+    The same class runs every *stream* of a shared run
+    (:class:`repro.core.multiprocess.MultiProcessSimulator`): stream 0 owns
+    the disk array, the event heap and the loop, and the other streams share
+    them by reference.  A solo run is the one-stream case.
+    """
+
+    #: A shared run's streams swap in resizable cache slices.
+    _cache_class: Type[BufferCache] = BufferCache
 
     def __init__(
         self,
@@ -147,7 +171,7 @@ class Simulator:
         self.unreadable_references = 0
 
         self.index = NextRefIndex(self.blocks)
-        self.cache = BufferCache(self.config.cache_blocks)
+        self.cache = self._cache_class(self.config.cache_blocks)
         self.eviction_heap = EvictionHeap(self.index, self.cache.resident)
         self.array = self._build_array()
         self._disk: Dict[int, int] = {}
@@ -165,8 +189,15 @@ class Simulator:
                 # policies fall back to disk_of() there.
                 self.scan.attach_disks(self._disk)
 
+        #: This stream's position in ``streams``; its app events carry it.
+        self.pid = 0
+        #: Every stream of the run, and the ones whose trace is unfinished.
+        self.streams: List[Simulator] = [self]
+        self._live: List[Simulator] = [self]
+        self._shared = False  # True for every stream of a shared run
         self._events: List[Tuple[float, int, int, int]] = []
         self._event_seq = 0
+        self._offers = itertools.count()  # rotates who is offered a free disk
         self.cursor = 0
         self.now = 0.0
         self._debt = 0.0
@@ -252,8 +283,12 @@ class Simulator:
         else:
             raise ValueError(f"unknown placement {self.config.placement!r}")
         self._placement_total = total
-        for block in sorted(universe, key=str):
+        for block in self._placement_order(universe):
             self._place_one(block)
+
+    def _placement_order(self, universe: Set[int]) -> Iterable[int]:
+        """The order blocks meet the placement's file-start draws."""
+        return sorted(universe, key=str)
 
     def _place_one(self, block: int) -> None:
         """Assign a (disk, lbn) home to ``block``.
@@ -381,7 +416,7 @@ class Simulator:
 
     # -- event plumbing ---------------------------------------------------------
 
-    def _push(self, time: float, kind: int, payload: int = 0) -> None:
+    def _push(self, time: float, kind: int, payload: int) -> None:
         self._event_seq += 1
         heapq.heappush(self._events, (time, kind, self._event_seq, payload))
 
@@ -407,40 +442,65 @@ class Simulator:
         self._waiting_block = None
         self._retry_miss = False
         self.stall_total += max(0.0, now - self._stall_start)
-        self._push(max(now, self._stall_start), _EVENT_APP)
+        self._push(max(now, self._stall_start), _EVENT_APP, self.pid)
 
     def _disk_complete(self, disk: int, now: float) -> None:
         request = self.array.complete(disk)
+        block = request.block
+        # Stream ``pid`` owns the blocks ``raw + (pid << 32)``.
+        owner = self.streams[block >> 32] if self._shared else self
         if self._faults is not None:
             outcome = self.array.take_outcome(disk)
             if outcome is not OUTCOME_OK:
-                self._fault_complete(disk, request, outcome, now)
+                owner._fault_complete(disk, request, outcome, now)
                 return
         if request.kind == "write":
             # A write-behind flush finished; nothing enters the cache, the
             # disk is simply free again.
-            if not self._done:
-                self.policy.on_disk_idle(disk, now)
+            self._disk_freed(disk, now, None)
+            return
+        owner.cache.complete_fetch(block)
+        if owner._fetch_attempts:
+            owner._fetch_attempts.pop(block, None)
+        owner.eviction_heap.push(block, owner.cursor)
+        if owner.timeline is not None:
+            owner.timeline.record(now, FETCH_DONE, block, disk)
+        owner.policy.on_fetch_complete(disk, self._service_in_progress[disk])
+        self._disk_freed(disk, now, block)
+
+    def _disk_freed(
+        self, disk: int, now: float, arrived: Optional[int]
+    ) -> None:
+        """The tail of every completion: offer the free disk to each live
+        stream, start queued requests, and wake the stream stalled on
+        ``arrived`` plus every stream parked on a miss it could not issue
+        (a buffer or a disk may have just freed up)."""
+        if not self._shared:
+            # A solo run: its one stream is this one, and it is live (the
+            # loop stops when it finishes).
+            self.policy.on_disk_idle(disk, now)
             self._start_disks(now)
-            if self._retry_miss and self._waiting_block is not None:
+            waiting = self._waiting_block
+            if waiting is not None and (
+                waiting == arrived or self._retry_miss
+            ):
                 self._wake_app(now)
             return
-        self.cache.complete_fetch(request.block)
-        if self._fetch_attempts:
-            self._fetch_attempts.pop(request.block, None)
-        self.eviction_heap.push(request.block, self.cursor)
-        if self.timeline is not None:
-            self.timeline.record(now, FETCH_DONE, request.block, disk)
-        self.policy.on_fetch_complete(disk, self._service_in_progress[disk])
-        if not self._done:
-            self.policy.on_disk_idle(disk, now)
+        live = self._live
+        if live:
+            # Rotate who goes first, so no stream monopolizes the array by
+            # its position in the list.
+            count = len(live)
+            first = next(self._offers) % count
+            for i in range(count):
+                live[(first + i) % count].policy.on_disk_idle(disk, now)
         self._start_disks(now)
-        if self._waiting_block == request.block:
-            self._wake_app(now)
-        elif self._retry_miss and self._waiting_block is not None:
-            # The app is parked on a miss it could not issue; a buffer may
-            # have just freed up — wake it to retry.
-            self._wake_app(now)
+        for stream in live:
+            waiting = stream._waiting_block
+            if waiting is not None and (
+                waiting == arrived or stream._retry_miss
+            ):
+                stream._wake_app(now)
 
     # -- fault handling ---------------------------------------------------------
 
@@ -503,18 +563,9 @@ class Simulator:
             # Failed *prefetch*: abandon it — the bandwidth is already
             # wasted, and the block will surface later as a demand miss.
             self._abandon_fetch(block)
-        if not self._done:
-            self.policy.on_disk_idle(disk, now)
-        self._start_disks(now)
-        if self._waiting_block is not None:
-            if lost and self._waiting_block == block:
-                # The app was stalled on a block that no longer exists;
-                # wake it into the partial-data path.
-                self._wake_app(now)
-            elif self._retry_miss:
-                # A parked miss may now have a free buffer (an abandoned
-                # prefetch released one) or a free disk.
-                self._wake_app(now)
+        # A stream stalled on a block that no longer exists wakes into the
+        # partial-data path.
+        self._disk_freed(disk, now, block if lost else None)
 
     def _abandon_fetch(self, block: int) -> None:
         """Release the in-flight reservation of a fetch that will never
@@ -548,17 +599,18 @@ class Simulator:
             return
         if self._debt > 0.0:
             debt, self._debt = self._debt, 0.0
-            self._push(now + debt, _EVENT_APP)
+            self._push(now + debt, _EVENT_APP, self.pid)
             return
         if self.cursor >= len(self.app_blocks):
             self._done = True
             self.elapsed = now
+            self._live.remove(self)
             return
         self.policy.before_reference(self.cursor, now)
         if self._debt > 0.0:
             self._start_disks(now)
             debt, self._debt = self._debt, 0.0
-            self._push(now + debt, _EVENT_APP)
+            self._push(now + debt, _EVENT_APP, self.pid)
             return
         block = self.app_blocks[self.cursor]
         if block in self.cache:
@@ -570,7 +622,7 @@ class Simulator:
             self.policy.on_reference_served(self.cursor, compute)
             self.cursor += 1
             self.eviction_heap.push(block, self.cursor)
-            self._push(now + compute, _EVENT_APP)
+            self._push(now + compute, _EVENT_APP, self.pid)
         elif block in self.lost_blocks and not self.is_write(self.cursor):
             # Partial-data mode: every copy of this block is on a dead
             # spindle.  The read cannot be served from anywhere; the run
@@ -581,7 +633,7 @@ class Simulator:
             self.compute_total += compute
             self.policy.on_reference_served(self.cursor, compute)
             self.cursor += 1
-            self._push(now + compute, _EVENT_APP)
+            self._push(now + compute, _EVENT_APP, self.pid)
         elif self.is_write(self.cursor) and not self.cache.is_in_flight(block):
             # Whole-block write miss: allocate a buffer, no read needed.
             victim = self.policy.choose_victim(self.cursor)
@@ -598,9 +650,10 @@ class Simulator:
             self._start_disks(now)  # a dirty victim may have queued a flush
             if self._debt > 0.0:
                 debt, self._debt = self._debt, 0.0
-                self._push(now + debt, _EVENT_APP)
+                self._push(now + debt, _EVENT_APP, self.pid)
                 return
-            self._push(now, _EVENT_APP)  # re-enter: block now resident
+            # Re-enter: the block is now resident.
+            self._push(now, _EVENT_APP, self.pid)
         elif self.cache.is_in_flight(block):
             self._waiting_block = block
             self._stall_start = now
@@ -609,7 +662,7 @@ class Simulator:
         else:
             self.policy.on_miss(self.cursor, now)
             if not self.cache.present_or_coming(block):
-                if not self.cache.in_flight:
+                if not any(s.cache.in_flight for s in self.streams):
                     raise RuntimeError(
                         f"policy {self.policy.name!r} left block {block} "
                         f"unfetched at a miss (cursor {self.cursor})"
@@ -635,26 +688,55 @@ class Simulator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        self._push(0.0, _EVENT_APP)
+        self._dispatch()
+        return self._build_result()
+
+    def _dispatch(
+        self,
+        rebalance: Optional[Callable[[], None]] = None,
+        period_ms: float = math.inf,
+    ) -> None:
+        """The event loop, run by stream 0 for every stream of the run.
+
+        In a shared run, ``rebalance`` (the buffer allocator) is called
+        after the first event at least ``period_ms`` past the previous call.
+        """
+        streams = self.streams
+        for stream in streams:
+            self._push(0.0, _EVENT_APP, stream.pid)
+        # Bound once: instruments shadow these when they attach, which is
+        # before the run.
+        app_steps = [stream._app_step for stream in streams]
+        disk_complete = self._disk_complete
+        others = streams[1:]  # each stream reads its own ``now``
         events = self._events
+        live = self._live
         heappop = heapq.heappop
         dispatched = 0
+        last_rebalance = 0.0
         try:
-            while events and not self._done:
+            while events and live:
                 now, kind, _seq, payload = heappop(events)
                 dispatched += 1
                 self.now = now
+                if others:
+                    for stream in others:
+                        stream.now = now
                 if kind == _EVENT_DISK:
-                    self._disk_complete(payload, now)
+                    disk_complete(payload, now)
                 elif kind == _EVENT_RETRY:
-                    self._retry_fetch(payload, now)
+                    owner = streams[payload >> 32] if self._shared else self
+                    owner._retry_fetch(payload, now)
                 else:
-                    self._app_step(now)
+                    app_steps[payload](now)
+                if others and now - last_rebalance >= period_ms:
+                    last_rebalance = now
+                    assert rebalance is not None
+                    rebalance()
         finally:
             self.events_dispatched += dispatched
-        if not self._done:
+        if live:
             raise RuntimeError("simulation deadlocked before trace completion")
-        return self._build_result()
 
     def _build_result(self) -> SimulationResult:
         elapsed = self.elapsed

@@ -1,18 +1,21 @@
-"""Multiple processes sharing the cache and the disk array.
+"""Several processes sharing the cache and the disk array.
 
 The paper studies one fully-hinted process and defers the multi-process
 case to TIP2 (Patterson et al. [25]) and future work: how should buffers
 and disk bandwidth be divided among processes, only some of which hint?
-This module implements that generalization:
+:class:`MultiProcessSimulator` models that case on the engine's one event
+loop (:class:`~repro.core.engine.Simulator`):
 
-* each process runs its own trace under its own policy, with private
-  accounting (compute/driver/stall/elapsed per process);
-* all processes share one :class:`~repro.disk.array.DiskArray` — a free
-  disk is offered to the policies in rotating order, so no process can
-  monopolize the array by callback position;
-* the buffer cache is *partitioned*: every process owns a
-  :class:`~repro.core.cache.BufferCache` slice, and an **allocator**
-  decides the slice sizes:
+* each process is a *stream* — a ``Simulator`` running its own trace under
+  its own policy, with private accounting (compute/driver/stall/elapsed)
+  and every engine feature (faults, write-behind, CPU scaling, disk
+  models, mirroring, timelines);
+* stream 0 owns the clock, the event heap and the one
+  :class:`~repro.disk.array.DiskArray`; a free disk is offered to the live
+  streams in rotating order, so no process can monopolize the array by
+  its position;
+* the buffer cache is *partitioned*: every stream owns a
+  :class:`_SharedSlice`, and an **allocator** decides the slice sizes:
 
   - :class:`StaticAllocator` — fixed shares (TIP2's baseline);
   - :class:`CostBenefitAllocator` — TIP2's idea in simplified form:
@@ -20,41 +23,24 @@ This module implements that generalization:
     stall-per-buffer toward the one with the highest, since a stalling
     hinting process can convert a buffer directly into prefetch depth.
 
-Block identities are namespaced per process, so two traces may use the
-same small integers without colliding in the shared array.
+Block identities are namespaced per stream (stream ``pid`` owns the blocks
+``raw + (pid << 32)``), so two traces may use the same small integers
+without colliding in the shared array; the engine routes each completion
+to its owner by that namespace.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+import math
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import BufferCache
-from repro.core.engine import SimConfig
-from repro.core.nextref import EvictionHeap, NextRefIndex, ScanSupport
+from repro.core.engine import SimConfig, Simulator
 from repro.core.policy import PrefetchPolicy
 from repro.core.results import SimulationResult
-from repro.disk.array import DiskArray, DriveModel, Placement
-from repro.disk.drive import DiskDrive
-from repro.disk.simple import SimpleDrive
+from repro.disk.array import DiskArray
 from repro.trace.trace import Trace
-
-_EVENT_DISK = 0
-_EVENT_APP = 1
-
-#: Stride separating per-process block namespaces in the shared array.
-_NAMESPACE_STRIDE = 1 << 32
 
 
 @dataclass
@@ -170,75 +156,73 @@ class _SharedSlice(BufferCache):
         return max(0, self.capacity - len(self.resident) - len(self.in_flight))
 
 
-class _Process:
-    """One application's private simulation state."""
+class _Stream(Simulator):
+    """One process of a shared run: a :class:`Simulator` over its trace
+    shifted into namespace ``pid`` (blocks ``raw + (pid << 32)``), with a
+    resizable cache slice.  Stream 0 builds the disk array, the event heap
+    and the loop; a later stream shares them by reference."""
+
+    _cache_class = _SharedSlice
+    cache: _SharedSlice
 
     def __init__(
         self,
-        pid: int,
         trace: Trace,
         policy: PrefetchPolicy,
-        cache: _SharedSlice,
-        sim: MultiProcessSimulator,
+        num_disks: int,
+        config: SimConfig,
+        share: int,
+        first: Optional[_Stream],
     ) -> None:
+        pid = 0 if first is None else len(first.streams)
+        offset = pid << 32
+        files = trace.files or {}
+        # Placement identity: a block outside any file is offset ``raw`` of
+        # file ``pid``.
+        identities = {
+            raw + offset: files.get(raw, (pid, raw)) for raw in trace.blocks
+        }
+        self._first = first
+        super().__init__(
+            replace(
+                trace,
+                blocks=[raw + offset for raw in trace.blocks],
+                files=identities,
+            ),
+            policy,
+            num_disks,
+            config.with_(
+                cache_blocks=share,
+                placement_seed=config.placement_seed + pid,
+            ),
+        )
         self.pid = pid
-        self.trace = trace
-        self.policy = policy
-        self.cache = cache
-        self.sim = sim
-        offset = pid * _NAMESPACE_STRIDE
-        self.blocks = [b + offset for b in trace.blocks]
-        self.app_blocks = self.blocks
-        self.compute_ms = trace.compute_ms
-        # The multiprocess engine does not inject faults; the attribute
-        # exists because policy scanners skip a simulator's lost blocks.
-        self.lost_blocks: FrozenSet[int] = frozenset()
-        self.index = NextRefIndex(self.blocks)
-        self.eviction_heap = EvictionHeap(self.index, cache.resident)
-        # Namespaced block ids are far too sparse for a dense present mask;
-        # policies fall back to the scalar scan loops.
-        self.scan: Optional[ScanSupport] = None
-        self.cursor = 0
-        self.debt = 0.0
-        self.waiting_block: Optional[int] = None
-        self.retry_miss = False
-        self.stall_start = 0.0
-        self.done = False
-        self.compute_total = 0.0
-        self.driver_total = 0.0
-        self.stall_total = 0.0
-        self.elapsed = 0.0
-        self.fetch_count = 0
+        self._shared = True
+        if first is not None:
+            self.streams = first.streams
+            self._live = first._live
+            self._offers = first._offers
+            self._service_in_progress = first._service_in_progress
+            self.streams.append(self)
+            self._live.append(self)
 
-    # -- the Simulator interface policies expect ------------------------------
+    def _push(self, time: float, kind: int, payload: int) -> None:
+        # Every stream's events go on stream 0's heap, in its sequence.
+        Simulator._push(self.streams[0], time, kind, payload)
+
+    def _build_array(self) -> DiskArray:
+        if self._first is None:
+            return super()._build_array()
+        return self._first.array
+
+    def _placement_order(self, universe: Set[int]) -> Iterable[int]:
+        # File starts are drawn in first-reference order.
+        return self.index.unique_blocks()
 
     @property
-    def num_disks(self) -> int:
-        return self.sim.array.num_disks
-
-    @property
-    def array(self) -> DiskArray:
-        return self.sim.array
-
-    def protected_blocks(self) -> Set[int]:
-        protected: Set[int] = set()
-        if self.waiting_block is not None:
-            protected.add(self.waiting_block)
-        if self.cursor < len(self.app_blocks):
-            protected.add(self.app_blocks[self.cursor])
-        return protected
-
-    def reference_block(self, cursor: int) -> int:
-        return self.app_blocks[cursor]
-
-    def disk_of(self, block: int) -> int:
-        return self.sim.disk_of(block)
-
-    def lbn_of(self, block: int) -> int:
-        return self.sim.lbn_of(block)
-
-    def issue_fetch(self, block: int, victim: Optional[int]) -> None:
-        self.sim.issue_fetch(self, block, victim)
+    def done(self) -> bool:
+        """Whether this stream has consumed its whole trace."""
+        return self._done
 
 
 class MultiProcessSimulator:
@@ -256,198 +240,29 @@ class MultiProcessSimulator:
         self.config = config if config is not None else SimConfig()
         self.num_disks = num_disks
         self.allocator = allocator if allocator is not None else StaticAllocator()
-        self.array = self._build_array()
-        self._disk: Dict[int, int] = {}
-        self._lbn: Dict[int, int] = {}
-
         shares = self.allocator.initial_shares(
             self.config.cache_blocks, len(workloads)
         )
-        self.processes: List[_Process] = []
-        for pid, (trace, policy) in enumerate(workloads):
-            cache = _SharedSlice(shares[pid])
-            process = _Process(pid, trace, policy, cache, self)
-            self.processes.append(process)
-            self._place_blocks(process)
-            policy.bind(process)
-
-        self._owner_of_request: Dict[int, _Process] = {}
-        self._events: List[Tuple[float, int, int, int]] = []
-        self._event_seq = 0
-        self._offer_start = 0
-        self._service_in_progress = [0.0] * num_disks
-        self._last_rebalance = 0.0
-
-    # -- construction ---------------------------------------------------------
-
-    def _build_array(self) -> DiskArray:
-        config = self.config
-        factory: Callable[[], DriveModel]
-        if config.disk_model == "hp97560":
-            factory = lambda: DiskDrive(config.geometry, readahead=config.readahead)
-        else:
-            factory = lambda: SimpleDrive(
-                access_ms=config.simple_access_ms,
-                sequential_ms=config.simple_sequential_ms,
+        self.processes: List[_Stream] = []
+        for (trace, policy), share in zip(workloads, shares):
+            first = self.processes[0] if self.processes else None
+            self.processes.append(
+                _Stream(trace, policy, num_disks, self.config, share, first)
             )
-        return DiskArray(
-            self.num_disks, drive_factory=factory,
-            discipline=config.discipline, geometry=config.geometry,
-        )
-
-    def _place_blocks(self, process: _Process) -> None:
-        total = self.config.geometry.total_blocks * self.num_disks
-        placement = Placement(
-            total, seed=self.config.placement_seed + process.pid
-        )
-        files = process.trace.files or {}
-        offset = process.pid * _NAMESPACE_STRIDE
-        layout = self.array.layout
-        for namespaced in process.index.unique_blocks():
-            raw = namespaced - offset
-            identity = files.get(raw, (process.pid, raw))
-            if not isinstance(identity, tuple):
-                identity = (process.pid, raw)
-            global_block = placement.place(identity)
-            self._disk[namespaced] = layout.disk_of(global_block)
-            self._lbn[namespaced] = layout.lbn_of(global_block)
+        self.array = self.processes[0].array
 
     def disk_of(self, block: int) -> int:
-        return self._disk[block]
+        return self.processes[block >> 32].disk_of(block)
 
     def lbn_of(self, block: int) -> int:
-        return self._lbn[block]
-
-    # -- shared fetch path ------------------------------------------------------
-
-    def issue_fetch(
-        self, process: _Process, block: int, victim: Optional[int]
-    ) -> None:
-        process.cache.begin_fetch(block, victim)
-        if victim is not None:
-            # next_use depends only on the trace, not on cache state, so
-            # computing it after begin_fetch is equivalent.
-            victim_next_use = process.index.next_use(victim, process.cursor)
-            process.policy.on_evict(victim, victim_next_use)
-        request = self.array.submit(self._disk[block], block, self._lbn[block])
-        self._owner_of_request[request.seq] = process
-        overhead = self.config.driver_overhead_ms
-        process.driver_total += overhead
-        process.debt += overhead
-        process.fetch_count += 1
-
-    # -- events -------------------------------------------------------------------
-
-    def _push(self, time: float, kind: int, payload: int = 0) -> None:
-        self._event_seq += 1
-        heapq.heappush(self._events, (time, kind, self._event_seq, payload))
-
-    def _start_disks(self, now: float) -> None:
-        for disk in range(self.num_disks):
-            started = self.array.start_next(disk, now)
-            if started is None:
-                continue
-            _request, completion, breakdown = started
-            self._service_in_progress[disk] = breakdown.total
-            self._push(completion, _EVENT_DISK, disk)
-
-    def _offer_disk(self, disk: int, now: float) -> None:
-        """Offer a free disk to every live policy, rotating who goes first."""
-        live = [p for p in self.processes if not p.done]
-        if not live:
-            return
-        start = self._offer_start % len(live)
-        self._offer_start += 1
-        for i in range(len(live)):
-            process = live[(start + i) % len(live)]
-            process.policy.on_disk_idle(disk, now)
-
-    def _disk_complete(self, disk: int, now: float) -> None:
-        request = self.array.complete(disk)
-        owner = self._owner_of_request.pop(request.seq)
-        owner.cache.complete_fetch(request.block)
-        owner.eviction_heap.push(request.block, owner.cursor)
-        owner.policy.on_fetch_complete(disk, self._service_in_progress[disk])
-        self._offer_disk(disk, now)
-        self._start_disks(now)
-        for process in self.processes:
-            if process.done or process.waiting_block is None:
-                continue
-            arrived = process is owner and process.waiting_block == request.block
-            # Parked misses (retry_miss) are woken by *any* completion:
-            # allocator moves and protection sets shift between events, so
-            # the retry is cheap and re-parks if still stuck.
-            if arrived or process.retry_miss:
-                process.waiting_block = None
-                process.retry_miss = False
-                process.stall_total += max(0.0, now - process.stall_start)
-                self._push(max(now, process.stall_start), _EVENT_APP,
-                           process.pid)
-
-    def _app_step(self, process: _Process, now: float) -> None:
-        if process.done:
-            return
-        if process.debt > 0.0:
-            debt, process.debt = process.debt, 0.0
-            self._push(now + debt, _EVENT_APP, process.pid)
-            return
-        if process.cursor >= len(process.app_blocks):
-            process.done = True
-            process.elapsed = now
-            return
-        process.policy.before_reference(process.cursor, now)
-        if process.debt > 0.0:
-            self._start_disks(now)
-            debt, process.debt = process.debt, 0.0
-            self._push(now + debt, _EVENT_APP, process.pid)
-            return
-        block = process.app_blocks[process.cursor]
-        if block in process.cache:
-            compute = process.compute_ms[process.cursor]
-            process.compute_total += compute
-            process.policy.on_reference_served(process.cursor, compute)
-            process.cursor += 1
-            process.eviction_heap.push(block, process.cursor)
-            self._push(now + compute, _EVENT_APP, process.pid)
-        elif process.cache.is_in_flight(block):
-            process.waiting_block = block
-            process.stall_start = now
-        else:
-            process.policy.on_miss(process.cursor, now)
-            if not process.cache.present_or_coming(block):
-                if not process.cache.in_flight and not any(
-                    p.cache.in_flight for p in self.processes
-                ):
-                    raise RuntimeError(
-                        f"process {process.pid} wedged at cursor "
-                        f"{process.cursor}"
-                    )
-                process.retry_miss = True
-            self._start_disks(now)
-            debt, process.debt = process.debt, 0.0
-            process.waiting_block = block
-            process.stall_start = now + debt
-
-    # -- main loop -------------------------------------------------------------------
+        return self.processes[block >> 32].lbn_of(block)
 
     def run(self) -> ProcessResult:
-        for process in self.processes:
-            self._push(0.0, _EVENT_APP, process.pid)
-        rebalance_period = self.allocator.period_ms
-        while self._events and not all(p.done for p in self.processes):
-            now, kind, _seq, payload = heapq.heappop(self._events)
-            if kind == _EVENT_DISK:
-                self._disk_complete(payload, now)
-            else:
-                self._app_step(self.processes[payload], now)
-            if (
-                rebalance_period is not None
-                and now - self._last_rebalance >= rebalance_period
-            ):
-                self._last_rebalance = now
-                self.allocator.rebalance(self)
-        if not all(p.done for p in self.processes):
-            raise RuntimeError("multi-process simulation deadlocked")
+        period = self.allocator.period_ms
+        self.processes[0]._dispatch(
+            lambda: self.allocator.rebalance(self),
+            math.inf if period is None else period,
+        )
         makespan = max(p.elapsed for p in self.processes)
         utilization = self.array.utilization(makespan)
         return ProcessResult(
@@ -455,23 +270,15 @@ class MultiProcessSimulator:
         )
 
     def _result_for(
-        self, process: _Process, utilization: float
+        self, process: _Stream, utilization: float
     ) -> SimulationResult:
-        elapsed = process.elapsed
-        result = SimulationResult(
-            trace_name=process.trace.name,
-            policy_name=process.policy.name,
-            num_disks=self.num_disks,
+        # Utilization and average fetch time are taken over the shared
+        # array, as are the fault counters _build_result reads off it;
+        # per-disk busy time is left out.
+        return replace(
+            process._build_result(),
             cache_blocks=process.cache.capacity,
-            fetches=process.fetch_count,
-            compute_ms=process.compute_total,
-            driver_ms=process.driver_total,
-            stall_ms=process.stall_total,
-            elapsed_ms=elapsed,
             average_fetch_ms=self.array.average_service_ms(),
             disk_utilization=utilization,
-            references=len(process.app_blocks),
-            cache_hits=len(process.app_blocks) - process.fetch_count,
+            per_disk_busy_ms=[],
         )
-        result.check_accounting(tolerance_ms=1e-6 * max(1.0, elapsed))
-        return result

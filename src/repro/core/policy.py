@@ -55,10 +55,11 @@ _SCAN_PREFIX = 256
 class SimulatorLike(Protocol):
     """The simulator surface policies are allowed to touch.
 
-    Implemented by :class:`repro.core.engine.Simulator` and by the
-    per-process view in :mod:`repro.core.multiprocess`.  Everything here is
-    read-only from the policy's perspective — simlint's SL006 rule enforces
-    that policies never mutate the shared containers behind these names.
+    Implemented by :class:`repro.core.engine.Simulator`, which also runs
+    each stream of a shared run (:mod:`repro.core.multiprocess`).
+    Everything here is read-only from the policy's perspective — simlint's
+    SL006 rule enforces that policies never mutate the shared containers
+    behind these names.
     """
 
     @property

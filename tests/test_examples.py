@@ -37,3 +37,14 @@ class TestQuickstartRuns:
         assert "demand" in out
         assert "forestall" in out
         assert "elapsed" in out
+
+
+class TestSharedSystemRuns:
+    def test_shared_system_end_to_end(self, monkeypatch, capsys):
+        path = next(p for p in EXAMPLES if p.stem == "shared_system")
+        monkeypatch.setattr(sys, "argv", [str(path)])
+        runpy.run_path(str(path), run_name="__main__")
+        out = capsys.readouterr().out
+        for allocator in ("static:", "static [3, 1]:", "cost-benefit:"):
+            assert allocator in out
+        assert out.count("makespan") == 3

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.core import SimConfig, make_policy
+from repro.core import SimConfig, Simulator, make_policy
 from repro.core.multiprocess import (
     CostBenefitAllocator,
     MultiProcessSimulator,
     StaticAllocator,
     _SharedSlice,
 )
-from repro.trace import Trace
+from repro.core.timeline import FETCH_DONE, FETCH_ISSUED
+from repro.faults import DiskFailure, FaultSchedule
+from repro.trace import Trace, build, cache_blocks_for
 from tests.conftest import make_trace
 
 
@@ -74,10 +76,6 @@ class TestAllocators:
             StaticAllocator([1]).initial_shares(10, 2)
 
     def test_cost_benefit_moves_toward_staller(self):
-        sim = two_process_sim(allocator=CostBenefitAllocator(period_ms=50.0,
-                                                             min_share=4,
-                                                             step=2))
-
         class FakeProcess:
             def __init__(self, pid, stall, cache):
                 self.pid = pid
@@ -218,3 +216,116 @@ class TestDifferentPolicies:
         dynamic = makespan(CostBenefitAllocator(period_ms=40.0, min_share=6,
                                                 step=2))
         assert dynamic <= static * 1.05
+
+
+LD_SCALE = 0.05
+
+
+def ld_pair(num_disks=2, trace_b=None, **config_changes):
+    """Two ld/fixed-horizon streams on the HP 97560, cache sized for both."""
+    trace = build("ld", scale=LD_SCALE)
+    config = SimConfig(
+        cache_blocks=2 * cache_blocks_for("ld", LD_SCALE), **config_changes
+    )
+    return MultiProcessSimulator(
+        [
+            (trace, make_policy("fixed-horizon")),
+            (trace_b or trace, make_policy("fixed-horizon")),
+        ],
+        num_disks,
+        config,
+    )
+
+
+class TestStreamsRunEngineFeatures:
+    """Every stream is a Simulator: no SimConfig field or trace attribute
+    is silently ignored in a shared run."""
+
+    def test_faults_reach_shared_runs(self):
+        sim = ld_pair(faults=FaultSchedule(seed=1, read_error_rate=0.05))
+        results = sim.run()
+        assert sim.array.faults_injected > 0
+        assert any(r.retry_ms > 0 for r in results)
+        for r in results:
+            r.check_accounting(tolerance_ms=1e-6 * r.elapsed_ms)
+
+    @pytest.mark.parametrize(
+        "disk_model", ["hp97560", "hp97560-zoned", "ibm0661", "simple"]
+    )
+    def test_disk_model_and_cpu_speedup(self, disk_model):
+        trace = build("ld", scale=LD_SCALE)
+        solo = Simulator(trace, make_policy("demand"), 2,
+                         SimConfig(disk_model=disk_model))
+        shared = ld_pair(disk_model=disk_model)
+        assert shared.array.geometry == solo.array.geometry
+        for drive, solo_drive in zip(shared.array.drives, solo.array.drives):
+            assert type(drive) is type(solo_drive)
+            assert getattr(drive, "geometry", None) == getattr(
+                solo_drive, "geometry", None
+            )
+        base = shared.run()
+        fast = ld_pair(disk_model=disk_model, cpu_speedup=4.0).run()
+        for slow_stream, fast_stream in zip(base, fast):
+            assert fast_stream.compute_ms == pytest.approx(
+                slow_stream.compute_ms / 4
+            )
+
+    def test_mirrored_routes_around_a_dead_spindle(self):
+        # Spindle 1 dies mid-run; every stream's reads then go to its twin.
+        faults = FaultSchedule(
+            disk_failures=(DiskFailure(disk=1, at_ms=50.0),)
+        )
+        sim = ld_pair(mirrored=True, faults=faults)
+        results = sim.run()
+        for stream in sim.processes:
+            assert set(stream._disk.values()) == {0}  # one mirror pair
+        assert not any(r.degraded for r in results)
+        plain = ld_pair(faults=faults).run()
+        assert any(r.degraded for r in plain)
+
+    def test_mirrored_needs_even_disks(self):
+        with pytest.raises(ValueError, match="mirroring"):
+            ld_pair(num_disks=3, mirrored=True)
+
+    def test_scatter_placement_per_stream(self):
+        clustered = ld_pair()
+        scattered = ld_pair(placement="scatter")
+        scattered.run()
+        for before, after in zip(clustered.processes, scattered.processes):
+            assert before._lbn.keys() == after._lbn.keys()
+            assert before._lbn != after._lbn
+        with pytest.raises(ValueError, match="placement"):
+            ld_pair(placement="diagonal")
+
+    def test_record_timeline_per_stream_on_the_shared_clock(self):
+        sim = ld_pair(record_timeline=True)
+        sim.run()
+        end = sim.processes[0].now
+        for pid, stream in enumerate(sim.processes):
+            assert stream.now == end
+            events = stream.timeline.events
+            issued = {}
+            for time, kind, block, _disk in events:
+                assert block >> 32 == pid
+                assert 0.0 <= time <= end
+                if kind == FETCH_ISSUED:
+                    issued[block] = time
+                elif kind == FETCH_DONE:
+                    assert time > issued[block]
+            assert max(issued.values()) > 0.0
+
+    def test_trace_writes_per_stream(self):
+        reads = build("ld", scale=LD_SCALE)
+        writes = Trace(
+            name="ld-writes",
+            blocks=reads.blocks,
+            compute_ms=reads.compute_ms,
+            files=reads.files,
+            writes=[i % 3 == 0 for i in range(len(reads.blocks))],
+        )
+        results = ld_pair(trace_b=writes).run()
+        assert "writes" not in results[0].extras
+        assert results[1].extras["writes"] > 0
+        assert results[1].extras["flushes"] > 0
+        for r in results:
+            r.check_accounting(tolerance_ms=1e-6 * r.elapsed_ms)
