@@ -6,7 +6,9 @@ to change *performance only*.  This test pins SHA-256 digests of the full
 ``SimulationResult`` serialization — every float at full precision, plus
 the recorded timeline where enabled — for all five hinted policies on two
 small workloads across all three disk scheduling disciplines, and of
-six two-stream shared runs (``MULTI_CELLS``) under both allocators.  Any change
+six two-stream shared runs (``MULTI_CELLS``) under both allocators, and of
+five cells off the paper's baseline setup (``VARIANT_CELLS``: the zoned and
+IBM 0661 drives, no drive readahead, write-behind, fault injection).  Any change
 to a digest means an optimization altered simulated behaviour and must be
 treated as a bug (or, for an intentional model change, regenerated with an
 explanation in the PR).
@@ -28,6 +30,7 @@ from repro.core.multiprocess import (
     MultiProcessSimulator,
     StaticAllocator,
 )
+from repro.faults import FaultSchedule, SlowWindow
 from repro.trace import build as build_workload
 from repro.trace import cache_blocks_for
 
@@ -73,11 +76,14 @@ def run_cell(cell, observer=None, profiler=None) -> str:
         discipline=discipline,
         record_timeline=record_timeline,
     )
-    sim = Simulator(trace, make_policy(policy), disks, config,
-                    observer=observer, profiler=profiler)
+    return _digest(Simulator(trace, make_policy(policy), disks, config,
+                             observer=observer, profiler=profiler))
+
+
+def _digest(sim) -> str:
     result = sim.run()
     payload = dataclasses.asdict(result)
-    if record_timeline:
+    if sim.timeline is not None:
         payload["timeline"] = sim.timeline.events
     # json renders floats via repr: exact, so any ULP drift changes the digest.
     serialized = json.dumps(payload, sort_keys=True)
@@ -100,6 +106,70 @@ EXPECTED = {
     "ld/aggressive/d2/sstf": "6d41b8282bb9c1edbe7daed98dd2bcf783ed5b0d225020853ab1ebf6303e95f6",
     "cscope1/demand/d2/fcfs": "694bf6fb04877357170d1d2a12c46413d379283634a5cf716dbaad4fe466e683",
     "ld/forestall/d2/cscan+timeline": "076b736df92c72f5d66d5e0d71b1a297f290d906cff70665580879e967631b87",
+}
+
+
+#: A write-behind cell writes every fifth reference's block.
+WRITE_EVERY = 5
+
+#: Seeded transient read errors on every disk, plus a window in which
+#: disk 1 serves three times slower.
+VARIANT_FAULTS = FaultSchedule(
+    seed=7,
+    read_error_rate=0.03,
+    slow_windows=(SlowWindow(3.0, disk=1, start_ms=1000.0, end_ms=2500.0),),
+)
+
+#: Each variant's SimConfig changes ("writes" changes the trace instead).
+VARIANTS = {
+    "hp97560-zoned": {"disk_model": "hp97560-zoned"},
+    "ibm0661": {"disk_model": "ibm0661"},
+    "no-readahead": {"readahead": False},
+    "writes": {},
+    "faults": {"faults": VARIANT_FAULTS},
+}
+
+#: Cells off the paper's baseline setup, which the 14 cells above never
+#: leave: (trace, policy, disks, discipline, variant).
+VARIANT_CELLS = (
+    ("ld", "aggressive", 2, "cscan", "hp97560-zoned"),
+    ("cscope1", "forestall", 2, "sstf", "ibm0661"),
+    ("ld", "reverse-aggressive", 2, "fcfs", "no-readahead"),
+    ("ld", "aggressive", 2, "cscan", "writes"),
+    ("ld", "forestall", 2, "cscan", "faults"),
+)
+
+
+def variant_cell_id(cell) -> str:
+    trace, policy, disks, discipline, variant = cell
+    return f"{trace}/{policy}/d{disks}/{discipline}/{variant}"
+
+
+def run_variant_cell(cell, observer=None, profiler=None) -> str:
+    """Run one variant cell and digest it the way :func:`run_cell` does."""
+    trace_name, policy, disks, discipline, variant = cell
+    trace = build_workload(trace_name, scale=SCALE)
+    if variant == "writes":
+        trace = dataclasses.replace(trace, writes=[
+            i % WRITE_EVERY == WRITE_EVERY - 1 for i in range(len(trace.blocks))
+        ])
+    config = SimConfig(
+        cache_blocks=cache_blocks_for(trace_name, SCALE),
+        discipline=discipline,
+        **VARIANTS[variant],
+    )
+    return _digest(Simulator(trace, make_policy(policy), disks, config,
+                             observer=observer, profiler=profiler))
+
+
+#: Variant digests pinned before the drive's per-request geometry work
+#: was hoisted to construction time.
+VARIANT_EXPECTED = {
+    "ld/aggressive/d2/cscan/hp97560-zoned": "21dfca726157c1476c7b5f8c61aa2d7d22f3ffaf20c7c164e390255bbcbfe904",
+    "cscope1/forestall/d2/sstf/ibm0661": "a86ab958ed643339021215f3dfe05bc7b2a0c604ae8957b72f464c99393daf15",
+    "ld/reverse-aggressive/d2/fcfs/no-readahead": "a74e9b3bc542794fe21911d5f76a3cf90559612259a7256e60d918d9dc17b204",
+    "ld/aggressive/d2/cscan/writes": "278444e7a2a583900a758a4bd2a36dfe964cbd4e98b3ade5e54e1e7cf6d9ef4f",
+    "ld/forestall/d2/cscan/faults": "b00505ff9bc6a655e827351a747f3be39c7a7630c1d57e03a679a9bdf9dd2756",
 }
 
 
@@ -172,9 +242,17 @@ def test_results_bit_identical_to_seed(cell):
     )
 
 
+@pytest.mark.parametrize("cell", VARIANT_CELLS, ids=variant_cell_id)
+def test_variant_results_bit_identical(cell):
+    assert run_variant_cell(cell) == VARIANT_EXPECTED[variant_cell_id(cell)], (
+        f"{variant_cell_id(cell)}: SimulationResult serialization changed"
+    )
+
+
 def test_every_cell_has_a_pinned_digest():
     assert {cell_id(c) for c in CELLS} == set(EXPECTED)
     assert {multi_cell_id(c) for c in MULTI_CELLS} == set(MULTI_EXPECTED)
+    assert {variant_cell_id(c) for c in VARIANT_CELLS} == set(VARIANT_EXPECTED)
 
 
 @pytest.mark.parametrize("cell", MULTI_CELLS, ids=multi_cell_id)
@@ -191,6 +269,10 @@ if __name__ == "__main__":
         print("EXPECTED = {")
         for cell in CELLS:
             print(f'    "{cell_id(cell)}": "{run_cell(cell)}",')
+        print("}")
+        print("VARIANT_EXPECTED = {")
+        for cell in VARIANT_CELLS:
+            print(f'    "{variant_cell_id(cell)}": "{run_variant_cell(cell)}",')
         print("}")
         print("MULTI_EXPECTED = {")
         for cell in MULTI_CELLS:

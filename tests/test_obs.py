@@ -39,7 +39,16 @@ from repro.perf import PhaseProfiler
 from repro.trace import build as build_workload, cache_blocks_for
 
 from tests.conftest import make_trace, simple_config
-from tests.test_golden_results import CELLS, EXPECTED, cell_id, run_cell
+from tests.test_golden_results import (
+    CELLS,
+    EXPECTED,
+    VARIANT_CELLS,
+    VARIANT_EXPECTED,
+    cell_id,
+    run_cell,
+    run_variant_cell,
+    variant_cell_id,
+)
 
 FIVE_POLICIES = (
     "demand", "fixed-horizon", "aggressive", "reverse-aggressive", "forestall"
@@ -64,6 +73,11 @@ class TestGoldenWithObserver:
     @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
     def test_digest_unchanged_with_observer(self, cell):
         assert run_cell(cell, observer=Observer()) == EXPECTED[cell_id(cell)]
+
+    @pytest.mark.parametrize("cell", VARIANT_CELLS, ids=variant_cell_id)
+    def test_variant_digest_unchanged_with_observer(self, cell):
+        digest = run_variant_cell(cell, observer=Observer())
+        assert digest == VARIANT_EXPECTED[variant_cell_id(cell)]
 
 
 # -- guarantee 2: zero overhead when off ------------------------------------------------

@@ -12,7 +12,17 @@ from repro.perf import PHASES, PhaseProfiler
 from repro.trace import build as build_workload
 from repro.trace import cache_blocks_for
 
-from tests.test_golden_results import CELLS, EXPECTED, SCALE, cell_id, run_cell
+from tests.test_golden_results import (
+    CELLS,
+    EXPECTED,
+    SCALE,
+    VARIANT_CELLS,
+    VARIANT_EXPECTED,
+    cell_id,
+    run_cell,
+    run_variant_cell,
+    variant_cell_id,
+)
 from tests.test_obs import PROFILED_POLICY
 
 
@@ -145,6 +155,18 @@ class TestGoldenProfiled:
     def test_digest_unchanged_with_profiler_and_observer(self, cell):
         digest = run_cell(cell, observer=Observer(), profiler=PhaseProfiler())
         assert digest == EXPECTED[cell_id(cell)]
+
+    @pytest.mark.parametrize("cell", VARIANT_CELLS, ids=variant_cell_id)
+    def test_variant_digest_unchanged_with_profiler(self, cell):
+        digest = run_variant_cell(cell, profiler=PhaseProfiler())
+        assert digest == VARIANT_EXPECTED[variant_cell_id(cell)]
+
+    @pytest.mark.parametrize("cell", VARIANT_CELLS, ids=variant_cell_id)
+    def test_variant_digest_unchanged_with_profiler_and_observer(self, cell):
+        digest = run_variant_cell(
+            cell, observer=Observer(), profiler=PhaseProfiler()
+        )
+        assert digest == VARIANT_EXPECTED[variant_cell_id(cell)]
 
 
 def _golden_sim(trace_name, policy, disks, profiler):
