@@ -7,6 +7,7 @@ fixed-size file-system blocks (8 KB in the paper); sector numbers address
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Tuple
 
 
@@ -112,6 +113,34 @@ class DiskGeometry:
                 f"LBN {lbn} out of range [0, {self.total_blocks})"
             )
 
+    @cached_property
+    def _flat_constants(self) -> Tuple[int, int, int, float]:
+        """(total blocks, sectors per block, sectors per cylinder, block
+        media time), derived once so :meth:`locate` skips the property
+        chains.  Cached in the instance ``__dict__``; not a field."""
+        return (
+            self.total_blocks,
+            self.sectors_per_block,
+            self.sectors_per_cylinder,
+            self.block_media_transfer_ms,
+        )
+
+    def locate(self, lbn: int) -> Tuple[int, int, float, float]:
+        """Everything a drive needs about ``lbn`` in one call: (cylinder,
+        absolute track, :meth:`rotational_fraction`,
+        :meth:`media_transfer_ms`).  Raises ``ValueError`` out of range."""
+        total, per_block, per_cylinder, media = self._flat_constants
+        if not 0 <= lbn < total:
+            self._check_block(lbn)  # raises
+        sector = lbn * per_block
+        per_track = self.sectors_per_track
+        return (
+            sector // per_cylinder,
+            sector // per_track,
+            (sector % per_track) / per_track,
+            media,
+        )
+
     # -- per-LBN rotational interface (overridden by zoned geometries) -------
 
     def rotational_fraction(self, lbn: int) -> float:
@@ -122,7 +151,7 @@ class DiskGeometry:
     def media_transfer_ms(self, lbn: int) -> float:
         """Time to stream this block off the media (zone-dependent on
         zoned drives; uniform here)."""
-        return self.block_media_transfer_ms
+        return self._flat_constants[3]
 
 
 HP97560 = DiskGeometry()
@@ -235,6 +264,17 @@ class ZonedGeometry(DiskGeometry):
         zone, _c, _t, _o = self._locate(lbn)
         sector_time = self.rotation_ms / zone.sectors_per_track
         return sector_time * self.sectors_per_block
+
+    def locate(self, lbn: int) -> Tuple[int, int, float, float]:
+        zone, cylinder, track, offset = self._locate(lbn)
+        per_track = zone.sectors_per_track
+        sector_time = self.rotation_ms / per_track
+        return (
+            cylinder,
+            cylinder * self.tracks_per_cylinder + track,
+            offset / per_track,
+            sector_time * self.sectors_per_block,
+        )
 
 
 HP97560_ZONED = ZonedGeometry()

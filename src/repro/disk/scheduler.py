@@ -175,7 +175,8 @@ _QUEUE_TYPES: Dict[str, Type[Union[FCFSQueue, CSCANQueue, SSTFQueue]]] = {
 def make_queue(
     discipline: str, cylinder_of: Optional[Callable[[int], int]] = None
 ) -> RequestQueue:
-    """Build a request queue for the named discipline ("fcfs" or "cscan")."""
+    """Build a request queue for the named discipline: "fcfs", "cscan" or
+    "sstf" (case-insensitive)."""
     try:
         queue_type = _QUEUE_TYPES[discipline.lower()]
     except KeyError:

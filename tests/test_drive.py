@@ -1,9 +1,14 @@
 """Detailed drive model: service-time composition and readahead caching."""
 
+import dataclasses
+import random
+from typing import Optional
+
 import pytest
 
 from repro.disk.drive import DiskDrive, ServiceBreakdown
-from repro.disk.geometry import HP97560
+from repro.disk.geometry import HP97560, HP97560_ZONED, IBM0661
+from repro.disk.seek import IBM0661_SEEK, SeekModel
 
 
 @pytest.fixture
@@ -143,3 +148,161 @@ class TestRealismEnvelope:
         drive.service(far, 0.0)
         assert drive.cylinder == HP97560.block_to_cylinder(far)
         assert drive.cylinder > 0
+
+
+class ReferenceDrive:
+    """The drive model written plainly: every quantity is re-derived from
+    the geometry's per-LBN calls at each request, and the readahead race
+    computes its own mechanical estimate.  :class:`DiskDrive` hoists all of
+    that and must agree with this model bit for bit."""
+
+    def __init__(self, geometry, seek_model=None, readahead=True):
+        self.geometry = geometry
+        self.seek_model = seek_model if seek_model is not None else SeekModel()
+        self.readahead = readahead
+        self._cylinder = 0
+        self._track = 0
+        self._ra_origin = -1
+        self._ra_origin_time = 0.0
+        self._ra_span = 0
+        self.requests_served = 0
+        self.cache_hits = 0
+
+    def _cache_ready_time(self, lbn: int) -> Optional[float]:
+        if not self.readahead or self._ra_origin < 0:
+            return None
+        offset = lbn - self._ra_origin
+        if not 0 <= offset < self._ra_span:
+            return None
+        return self._ra_origin_time + offset * self.geometry.media_transfer_ms(
+            self._ra_origin
+        )
+
+    def _seek(self, lbn: int) -> float:
+        geom = self.geometry
+        target_cyl = geom.block_to_cylinder(lbn)
+        if target_cyl != self._cylinder:
+            return self.seek_model.seek_time(target_cyl - self._cylinder)
+        if geom.block_to_track(lbn) != self._track:
+            return geom.head_switch_ms
+        return 0.0
+
+    def _rotation(self, lbn: int, arrival: float) -> float:
+        rotation_ms = self.geometry.rotation_ms
+        angle_fraction = (arrival / rotation_ms) % 1.0
+        target_fraction = self.geometry.rotational_fraction(lbn)
+        return ((target_fraction - angle_fraction) % 1.0) * rotation_ms
+
+    def service(self, lbn: int, start_time: float) -> ServiceBreakdown:
+        geom = self.geometry
+        geom._check_block(lbn)
+        out = ServiceBreakdown(overhead=geom.controller_overhead_ms)
+        t = start_time + out.overhead
+        ready = self._cache_ready_time(lbn)
+        if ready is not None:
+            cache_wait = max(0.0, ready - t)
+            seek = self._seek(lbn)
+            mechanical = (
+                seek + self._rotation(lbn, t + seek)
+                + geom.media_transfer_ms(lbn)
+            )
+            if cache_wait + geom.block_bus_transfer_ms <= mechanical:
+                out.cache_hit = True
+                out.cache_wait = cache_wait
+                out.transfer = geom.block_bus_transfer_ms
+                self.requests_served += 1
+                self.cache_hits += 1
+                return out
+        out.seek = self._seek(lbn)
+        t += out.seek
+        out.rotation = self._rotation(lbn, t)
+        t += out.rotation
+        out.transfer = geom.media_transfer_ms(lbn)
+        t += out.transfer
+        self._cylinder = geom.block_to_cylinder(lbn)
+        self._track = geom.block_to_track(lbn)
+        if self.readahead:
+            self._ra_origin = lbn + 1
+            self._ra_origin_time = t + geom.media_transfer_ms(lbn)
+            self._ra_span = min(
+                geom.cache_blocks, geom.total_blocks - self._ra_origin
+            )
+        self.requests_served += 1
+        return out
+
+
+#: (id, geometry, seek model) for every drive the engine can build.
+DRIVE_MODELS = [
+    ("hp97560", HP97560, None),
+    ("hp97560-zoned", HP97560_ZONED, None),
+    ("ibm0661", IBM0661, IBM0661_SEEK),
+]
+
+
+def request_stream(geometry, seed: int, count: int = 1500):
+    """Seeded (lbn, start time) pairs in the order a drive serves them:
+    sequential runs into the readahead span, same-track and same-cylinder
+    neighbours, long seeks, backward steps, repeats, the end blocks and zone
+    edges, each starting at a random gap after the previous request (from
+    back-to-back to many revolutions)."""
+    rng = random.Random(seed)
+    total = geometry.total_blocks
+    per_cylinder = geometry.blocks_per_cylinder
+    # The end blocks, and the last block of every zone: a readahead span
+    # started there streams at the next zone's rate.
+    edges = [0, total - 1] + [
+        start - 1 for start, _c, _z in getattr(geometry, "_zone_starts", ())
+        if start > 0
+    ]
+    lbn = rng.randrange(total)
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.35:
+            lbn += 1  # sequential: the readahead span's case
+        elif kind < 0.45:
+            lbn += rng.randrange(2, geometry.cache_blocks + 4)  # skip ahead
+        elif kind < 0.55:
+            lbn += rng.choice((-2, -1, 0, 2))  # same track, mostly
+        elif kind < 0.65:
+            lbn += rng.randrange(-per_cylinder // 2, per_cylinder // 2)
+        elif kind < 0.97:
+            lbn = rng.randrange(total)  # a seek, usually a long one
+        else:
+            lbn = rng.choice(edges)
+        lbn = min(max(lbn, 0), total - 1)
+        gap = rng.choice((0.0, rng.uniform(0.0, 2.0), rng.uniform(0.0, 40.0)))
+        yield lbn, gap
+
+
+@pytest.mark.parametrize("readahead", [True, False], ids=["ra", "no-ra"])
+@pytest.mark.parametrize(
+    "name,geometry,seek_model", DRIVE_MODELS, ids=[m[0] for m in DRIVE_MODELS]
+)
+class TestAgainstReferenceDrive:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_breakdowns_identical(self, name, geometry, seek_model,
+                                  readahead, seed):
+        drive = DiskDrive(geometry, seek_model=seek_model, readahead=readahead)
+        reference = ReferenceDrive(geometry, seek_model, readahead=readahead)
+        now = 0.0
+        hits = 0
+        for lbn, gap in request_stream(geometry, seed):
+            got = drive.service(lbn, now)
+            want = reference.service(lbn, now)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want), (
+                f"{name}: lbn {lbn} at {now!r}"
+            )
+            assert drive.cylinder == reference._cylinder
+            hits += got.cache_hit
+            now += want.total + gap
+        assert drive.requests_served == reference.requests_served
+        assert drive.cache_hits == reference.cache_hits == hits
+        # The streams must exercise both service paths where both exist.
+        assert (hits > 0) == readahead
+
+    def test_out_of_range_lbn_raises(self, name, geometry, seek_model,
+                                     readahead):
+        drive = DiskDrive(geometry, seek_model=seek_model, readahead=readahead)
+        for lbn in (-1, geometry.total_blocks, geometry.total_blocks + 7):
+            with pytest.raises(ValueError, match="out of range"):
+                drive.service(lbn, 0.0)
