@@ -202,7 +202,6 @@ class _Stream(Simulator):
             self.streams = first.streams
             self._live = first._live
             self._offers = first._offers
-            self._service_in_progress = first._service_in_progress
             self.streams.append(self)
             self._live.append(self)
 
